@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"strconv"
 
 	"tecfan/internal/benchgate"
 )
@@ -28,8 +29,15 @@ var gatePackages = []string{".", "./internal/sim", "./internal/linalg", "./inter
 // end-to-end cost, not per-period hot-path cost, and would make the gate
 // minutes-slow and noisy.
 const gateBenchRe = "^Benchmark(Step|SteadySolve|TransientStep|Systolic|TECfanControl|BandEstimatorEval|" +
-	"CholeskyFactor305|CholeskySolve305|LUFactor305|CGGridScale|BandMulVec18|BandLUSolve18|ParMulVec4096|" +
+	"CholeskyFactor305|CholeskySolve305|LUFactor305|CGGridScale|BandMulVec18|BandLUSolve18|" +
+	"AnalyzeCholesky305|SparseCholeskyFactor305|SparseCholeskySolve305|VerifiedCholeskySolve305|" +
 	"NetworkAssembly16|SteadyWithTEC16|GridSteady16)$"
+
+// gateCPU is the GOMAXPROCS every gate benchmark runs at (go test -cpu)
+// and that BENCH_*.json records. Allocation counts of goroutine fan-out
+// scale with it, so it is pinned, and benchgate refuses a baseline
+// recorded at another value.
+const gateCPU = 1
 
 type gateFlags struct {
 	gate      bool
@@ -79,6 +87,7 @@ func runGoBench(f gateFlags, pkgs []string) int {
 	cur := &benchgate.Baseline{
 		Schema:     benchgate.Schema,
 		CPU:        benchgate.CPUFingerprint(),
+		GOMAXPROCS: gateCPU,
 		Benchmarks: benchgate.Median(runs),
 	}
 
@@ -103,7 +112,11 @@ func runGoBench(f gateFlags, pkgs []string) int {
 	if !f.gate {
 		return 0
 	}
-	regs := benchgate.Compare(base, cur, f.nsTol)
+	regs, err := benchgate.Compare(base, cur, f.nsTol)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tecfan-bench:", err)
+		return 1
+	}
 	if len(regs) == 0 {
 		fmt.Fprintf(os.Stderr, "tecfan-bench: gate clean: %d benchmarks vs %s (cpu match: %v)\n",
 			len(base.Benchmarks), f.baseline, base.CPU == cur.CPU)
@@ -117,10 +130,12 @@ func runGoBench(f gateFlags, pkgs []string) int {
 }
 
 // goBenchOnce runs one `go test -bench` sweep over the packages and
-// returns its combined output.
+// returns its combined output. -p 1 runs the package test binaries one at
+// a time: by default go test runs up to GOMAXPROCS of them at once, and
+// two benchmark binaries sharing the cores time each other's interference.
 func goBenchOnce(f gateFlags, pkgs []string) ([]byte, error) {
-	args := []string{"test", "-run", "^$", "-bench", f.benchRe,
-		"-benchmem", "-benchtime", f.benchtime, "-count", "1"}
+	args := []string{"test", "-p", "1", "-run", "^$", "-bench", f.benchRe,
+		"-benchmem", "-benchtime", f.benchtime, "-count", "1", "-cpu", strconv.Itoa(gateCPU)}
 	args = append(args, pkgs...)
 	cmd := exec.Command("go", args...)
 	cmd.Env = append(os.Environ(), "GOWORK=off")

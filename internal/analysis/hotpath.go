@@ -38,14 +38,13 @@ var defaultHotpath = map[string]bool{
 	"tecfan/internal/thermal.RCInterp":              true,
 
 	// linalg: every solve the loop reaches.
-	"tecfan/internal/linalg.(*Cholesky).Solve":            true,
-	"tecfan/internal/linalg.(*LU).Solve":                  true,
+	"tecfan/internal/linalg.(*SparseCholesky).Solve":      true,
 	"tecfan/internal/linalg.(*VerifiedCholesky).Solve":    true,
 	"tecfan/internal/linalg.(*VerifiedCholesky).residual": true,
+	"tecfan/internal/linalg.(*CSR).MulVec":                true,
 	"tecfan/internal/linalg.(*BandLU).Solve":              true,
 	"tecfan/internal/linalg.(*VerifiedBandLU).Solve":      true,
 	"tecfan/internal/linalg.(*VerifiedBandLU).residual":   true,
-	"tecfan/internal/linalg.(*Dense).MulVec":              true,
 	"tecfan/internal/linalg.(*Banded).MulVec":             true,
 	"tecfan/internal/linalg.relResidual":                  true,
 	"tecfan/internal/linalg.Fill":                         true,

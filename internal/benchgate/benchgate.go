@@ -1,10 +1,14 @@
 // Package benchgate implements the performance regression gate behind
 // `tecfan-bench -gobench -gate` and scripts/bench_gate.sh: it parses
 // `go test -bench` output, reduces repeated runs to per-metric medians,
-// and compares the result against a committed baseline (BENCH_10.json).
+// and compares the result against a committed baseline (BENCH_12.json).
 //
 // The comparison policy encodes what each metric means for this repo:
 //
+//   - a measurement taken at a different GOMAXPROCS than the baseline is
+//     refused outright. Allocation counts of anything that fans out over
+//     goroutines scale with GOMAXPROCS, and so does wall time, so such a
+//     comparison can only report false regressions or hide real ones.
 //   - allocs/op regressions always fail. The hot-path allocation
 //     discipline (DESIGN.md §18) holds steady-state allocation counts at
 //     exact integers — usually zero — so any increase is a real code
@@ -21,6 +25,7 @@ package benchgate
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -30,8 +35,9 @@ import (
 	"strings"
 )
 
-// Schema is the BENCH_*.json format version.
-const Schema = 1
+// Schema is the BENCH_*.json format version. Version 2 added gomaxprocs;
+// version-1 files never recorded it and cannot be gated against.
+const Schema = 2
 
 // Metrics holds one benchmark's measured values.
 type Metrics struct {
@@ -40,12 +46,17 @@ type Metrics struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// Baseline is the persisted form of one gate measurement (BENCH_10.json).
+// Baseline is the persisted form of one gate measurement (BENCH_12.json).
 type Baseline struct {
 	Schema     int                `json:"schema"`
 	CPU        string             `json:"cpu"`
+	GOMAXPROCS int                `json:"gomaxprocs"` // the go test -cpu value every benchmark ran at
 	Benchmarks map[string]Metrics `json:"benchmarks"`
 }
+
+// ErrEnvMismatch is returned by Compare for measurements taken at a
+// different GOMAXPROCS than the baseline.
+var ErrEnvMismatch = errors.New("benchgate: baseline and measurement ran at different GOMAXPROCS")
 
 // CPUFingerprint identifies the machine class a measurement was taken on,
 // from the same source `go test -bench` prints in its cpu: banner.
@@ -163,8 +174,13 @@ func (r Regression) String() string {
 
 // Compare gates cur against base with the given ns/op tolerance fraction
 // (0.15 = +15%). See the package comment for the policy. Benchmarks new in
-// cur pass silently — they gate once they enter the baseline.
-func Compare(base, cur *Baseline, nsTol float64) []Regression {
+// cur pass silently — they gate once they enter the baseline. It refuses
+// (ErrEnvMismatch) to compare measurements taken at different GOMAXPROCS.
+func Compare(base, cur *Baseline, nsTol float64) ([]Regression, error) {
+	if base.GOMAXPROCS != cur.GOMAXPROCS {
+		return nil, fmt.Errorf("%w: baseline %d, measured %d (re-run at -cpu %d or re-record the baseline)",
+			ErrEnvMismatch, base.GOMAXPROCS, cur.GOMAXPROCS, base.GOMAXPROCS)
+	}
 	var regs []Regression
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
@@ -192,7 +208,7 @@ func Compare(base, cur *Baseline, nsTol float64) []Regression {
 					100*(c.NsPerOp/b.NsPerOp-1), 100*nsTol)})
 		}
 	}
-	return regs
+	return regs, nil
 }
 
 // Load reads a baseline file and validates its schema.
@@ -207,6 +223,9 @@ func Load(path string) (*Baseline, error) {
 	}
 	if b.Schema != Schema {
 		return nil, fmt.Errorf("benchgate: %s: schema %d, want %d", path, b.Schema, Schema)
+	}
+	if b.GOMAXPROCS < 1 {
+		return nil, fmt.Errorf("benchgate: %s: gomaxprocs %d, want >= 1", path, b.GOMAXPROCS)
 	}
 	if len(b.Benchmarks) == 0 {
 		return nil, fmt.Errorf("benchgate: %s: no benchmarks", path)

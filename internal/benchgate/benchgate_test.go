@@ -2,6 +2,7 @@ package benchgate
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -60,44 +61,44 @@ func TestMedianOddEven(t *testing.T) {
 }
 
 func TestCompareAllocsGateEverywhere(t *testing.T) {
-	base := &Baseline{Schema: Schema, CPU: "cpuA",
+	base := &Baseline{Schema: Schema, GOMAXPROCS: 1, CPU: "cpuA",
 		Benchmarks: map[string]Metrics{"BenchmarkX": {NsPerOp: 100, AllocsPerOp: 0}}}
-	cur := &Baseline{Schema: Schema, CPU: "cpuB", // different machine
+	cur := &Baseline{Schema: Schema, GOMAXPROCS: 1, CPU: "cpuB", // different machine
 		Benchmarks: map[string]Metrics{"BenchmarkX": {NsPerOp: 500, AllocsPerOp: 2}}}
-	regs := Compare(base, cur, 0.15)
+	regs := mustCompare(t, base, cur)
 	if len(regs) != 1 || regs[0].Metric != "allocs/op" {
 		t.Fatalf("want exactly the allocs regression on a foreign CPU, got %v", regs)
 	}
 }
 
 func TestCompareNsGatesOnlyOnMatchingCPU(t *testing.T) {
-	base := &Baseline{Schema: Schema, CPU: "cpuA",
+	base := &Baseline{Schema: Schema, GOMAXPROCS: 1, CPU: "cpuA",
 		Benchmarks: map[string]Metrics{"BenchmarkX": {NsPerOp: 100}}}
-	within := &Baseline{Schema: Schema, CPU: "cpuA",
+	within := &Baseline{Schema: Schema, GOMAXPROCS: 1, CPU: "cpuA",
 		Benchmarks: map[string]Metrics{"BenchmarkX": {NsPerOp: 114}}}
-	if regs := Compare(base, within, 0.15); len(regs) != 0 {
+	if regs := mustCompare(t, base, within); len(regs) != 0 {
 		t.Fatalf("+14%% inside the band flagged: %v", regs)
 	}
-	beyond := &Baseline{Schema: Schema, CPU: "cpuA",
+	beyond := &Baseline{Schema: Schema, GOMAXPROCS: 1, CPU: "cpuA",
 		Benchmarks: map[string]Metrics{"BenchmarkX": {NsPerOp: 120}}}
-	regs := Compare(base, beyond, 0.15)
+	regs := mustCompare(t, base, beyond)
 	if len(regs) != 1 || regs[0].Metric != "ns/op" {
 		t.Fatalf("+20%% on a matching CPU not flagged: %v", regs)
 	}
 }
 
 func TestCompareMissingBenchmark(t *testing.T) {
-	base := &Baseline{Schema: Schema, CPU: "c",
+	base := &Baseline{Schema: Schema, GOMAXPROCS: 1, CPU: "c",
 		Benchmarks: map[string]Metrics{"BenchmarkGone": {NsPerOp: 1}}}
-	cur := &Baseline{Schema: Schema, CPU: "c", Benchmarks: map[string]Metrics{}}
-	regs := Compare(base, cur, 0.15)
+	cur := &Baseline{Schema: Schema, GOMAXPROCS: 1, CPU: "c", Benchmarks: map[string]Metrics{}}
+	regs := mustCompare(t, base, cur)
 	if len(regs) != 1 || regs[0].Metric != "missing" {
 		t.Fatalf("dropped benchmark not flagged: %v", regs)
 	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	b := &Baseline{Schema: Schema, CPU: "c",
+	b := &Baseline{Schema: Schema, GOMAXPROCS: 1, CPU: "c",
 		Benchmarks: map[string]Metrics{"BenchmarkX": {NsPerOp: 1.5, BytesPerOp: 16, AllocsPerOp: 1}}}
 	var buf bytes.Buffer
 	if err := b.Save(&buf); err != nil {
@@ -115,11 +116,41 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %+v", got)
 	}
 	// Wrong schema refuses.
-	if err := writeFile(path, []byte(`{"schema":99,"cpu":"c","benchmarks":{"B":{}}}`)); err != nil {
+	if err := writeFile(path, []byte(`{"schema":99,"cpu":"c","gomaxprocs":1,"benchmarks":{"B":{}}}`)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(path); err == nil {
 		t.Fatal("schema 99 accepted")
+	}
+	// A baseline that never recorded its GOMAXPROCS cannot be gated against.
+	if err := writeFile(path, []byte(`{"schema":2,"cpu":"c","benchmarks":{"B":{}}}`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil {
+		t.Fatal("baseline without gomaxprocs accepted")
+	}
+}
+
+func mustCompare(t *testing.T, base, cur *Baseline) []Regression {
+	t.Helper()
+	regs, err := Compare(base, cur, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return regs
+}
+
+// A measurement at another GOMAXPROCS is refused, not compared: allocation
+// counts of goroutine fan-out scale with it, so the comparison would report
+// false regressions (or hide real ones).
+func TestCompareRefusesGOMAXPROCSMismatch(t *testing.T) {
+	base := &Baseline{Schema: Schema, GOMAXPROCS: 1, CPU: "c",
+		Benchmarks: map[string]Metrics{"BenchmarkX": {NsPerOp: 100, AllocsPerOp: 77}}}
+	cur := &Baseline{Schema: Schema, GOMAXPROCS: 2, CPU: "c",
+		Benchmarks: map[string]Metrics{"BenchmarkX": {NsPerOp: 100, AllocsPerOp: 125}}}
+	regs, err := Compare(base, cur, 0.15)
+	if !errors.Is(err, ErrEnvMismatch) || regs != nil {
+		t.Fatalf("GOMAXPROCS 1 vs 2: regs %v, err %v; want ErrEnvMismatch and no comparison", regs, err)
 	}
 }
 

@@ -103,17 +103,3 @@ func BenchmarkBandLUSolve18(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkParMulVec4096(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	m := randomLaplacian(rng, 4096)
-	x := make([]float64, 4096)
-	y := make([]float64, 4096)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ParMulVec(x, y)
-	}
-}

@@ -1,8 +1,10 @@
 // Package linalg provides the small dense, banded, and sparse linear-algebra
-// kernels used by the TECfan thermal and control models: Cholesky and LU
-// factorizations for steady-state thermal solves, a conjugate-gradient solver
-// for large symmetric positive-definite networks, and parallel matrix-vector
-// products for the transient integrator.
+// kernels used by the TECfan thermal and control models: a minimum-degree
+// ordered sparse Cholesky, residual-verified, for every steady and transient
+// solve of the compact thermal network; band LU for the per-core estimator
+// models; a conjugate-gradient solver for the large grid model; and dense
+// Cholesky and LU, kept as the reference the sparse and band paths are
+// tested against.
 //
 // Everything is written against plain float64 slices so the thermal network
 // (a few hundred nodes) solves in microseconds without external dependencies.

@@ -87,7 +87,7 @@ func FuzzCholeskyResidual(f *testing.F) {
 				a.Set(j, i, v)
 			}
 		}
-		v, err := NewVerifiedCholesky(a, 0)
+		v, err := verifiedOf(csrOf(a))
 		if err != nil {
 			if !errors.Is(err, ErrNotSPD) && !errors.Is(err, ErrShape) {
 				t.Fatalf("untyped factor error: %v", err)

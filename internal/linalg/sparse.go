@@ -1,10 +1,6 @@
 package linalg
 
-import (
-	"runtime"
-	"sort"
-	"sync"
-)
+import "sort"
 
 // Coord is one (row, col, value) triplet used while assembling a sparse
 // matrix.
@@ -14,8 +10,10 @@ type Coord struct {
 }
 
 // CSR is a compressed-sparse-row matrix. The thermal network assembles its
-// conductance matrix in triplet form and converts once; mat-vec against CSR is
-// the inner loop of the transient integrator.
+// conductance matrix in triplet form and converts once; the verified sparse
+// Cholesky keeps it for the O(nnz) residual check of every solve. The
+// structure (RowPtr, ColIdx) is never modified after NewCSR, so clones share
+// it and copy only the values.
 type CSR struct {
 	N       int // square dimension
 	RowPtr  []int
@@ -85,15 +83,38 @@ func (m *CSR) Diag(i int) float64 {
 	return 0
 }
 
-// MulVec computes y = M·x serially. y must not alias x.
+// Clone returns a copy of m with its own values and the shared, immutable
+// structure.
+func (m *CSR) Clone() *CSR {
+	c := *m
+	c.Vals = append([]float64(nil), m.Vals...)
+	return &c
+}
+
+// AddDiag adds v to the stored diagonal entry of row i. It panics with
+// ErrShape if the pattern stores no such entry.
+func (m *CSR) AddDiag(i int, v float64) {
+	k := m.diagIdx[i]
+	if k < 0 {
+		panic(ErrShape)
+	}
+	m.Vals[k] += v
+}
+
+// MulVec computes y = M·x. y must not alias x.
+//
+//tecfan:hotpath
 func (m *CSR) MulVec(x, y []float64) {
 	if len(x) != m.N || len(y) != m.N {
 		panic(ErrShape)
 	}
 	for r := 0; r < m.N; r++ {
+		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
+		cols := m.ColIdx[lo:hi]
+		vals := m.Vals[lo:hi][:len(cols)]
 		var s float64
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			s += m.Vals[k] * x[m.ColIdx[k]]
+		for k, c := range cols {
+			s += vals[k] * x[c]
 		}
 		y[r] = s
 	}
@@ -108,48 +129,6 @@ func (m *CSR) Dense() *Dense {
 		}
 	}
 	return d
-}
-
-// parCutoff is the matrix size below which ParMulVec falls back to the serial
-// kernel; goroutine fan-out costs more than it saves on tiny systems.
-const parCutoff = 512
-
-// ParMulVec computes y = M·x, splitting rows across GOMAXPROCS workers. The
-// transient thermal integrator calls this thousands of times per simulated
-// second.
-func (m *CSR) ParMulVec(x, y []float64) {
-	if m.N < parCutoff {
-		m.MulVec(x, y)
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m.N {
-		workers = m.N
-	}
-	chunk := (m.N + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m.N {
-			hi = m.N
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for r := lo; r < hi; r++ {
-				var s float64
-				for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-					s += m.Vals[k] * x[m.ColIdx[k]]
-				}
-				y[r] = s
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // CGOptions configure the conjugate-gradient solver.
@@ -196,7 +175,7 @@ func (m *CSR) SolveCG(b, x []float64, opt CGOptions) CGResult {
 	z := make([]float64, m.N)
 	p := make([]float64, m.N)
 	ap := make([]float64, m.N)
-	m.ParMulVec(x, r)
+	m.MulVec(x, r)
 	for i := range r {
 		r[i] = b[i] - r[i]
 		z[i] = inv[i] * r[i]
@@ -206,7 +185,7 @@ func (m *CSR) SolveCG(b, x []float64, opt CGOptions) CGResult {
 	res := CGResult{}
 	for it := 0; it < maxIter; it++ {
 		res.Iterations = it + 1
-		m.ParMulVec(p, ap)
+		m.MulVec(p, ap)
 		den := Dot(p, ap)
 		if den == 0 {
 			break

@@ -100,13 +100,13 @@ func relResidual(r, b []float64) float64 {
 	return rn / bn
 }
 
-// VerifiedCholesky pairs a Cholesky factor with the matrix it factored so
-// every solve can be residual-checked and refined. Construction costs one
-// matrix clone; each Solve costs one extra MulVec (O(n²), same order as the
-// substitution sweeps it verifies).
+// VerifiedCholesky pairs a sparse Cholesky factor with the matrix it
+// factored so every solve can be residual-checked and refined. Construction
+// costs one copy of the matrix values; each Solve costs one extra CSR
+// MulVec, O(nnz) — the same order as the substitution sweeps it verifies.
 type VerifiedCholesky struct {
-	chol *Cholesky
-	a    *Dense
+	chol *SparseCholesky
+	a    *CSR
 	tol  float64
 	cond float64
 	// scratch for residual/refinement, sized n — reused so steady-state
@@ -114,10 +114,11 @@ type VerifiedCholesky struct {
 	ax, r, d []float64
 }
 
-// NewVerifiedCholesky factors a and retains a clone of it for residual
-// checks. tol ≤ 0 selects DefaultResidualTol.
-func NewVerifiedCholesky(a *Dense, tol float64) (*VerifiedCholesky, error) {
-	ch, err := NewCholesky(a)
+// NewVerifiedCholesky factors the symmetric matrix a over pat, the
+// AnalyzeCholesky result for a's pattern, and retains a copy of a for
+// residual checks. tol ≤ 0 selects DefaultResidualTol.
+func NewVerifiedCholesky(a *CSR, pat *CholeskyPattern, tol float64) (*VerifiedCholesky, error) {
+	ch, err := pat.Factor(a)
 	if err != nil {
 		return nil, err
 	}
@@ -125,33 +126,15 @@ func NewVerifiedCholesky(a *Dense, tol float64) (*VerifiedCholesky, error) {
 		tol = DefaultResidualTol
 	}
 	n := ch.N()
-	v := &VerifiedCholesky{
+	return &VerifiedCholesky{
 		chol: ch,
 		a:    a.Clone(),
 		tol:  tol,
+		cond: ch.pivotCond(),
 		ax:   make([]float64, n),
 		r:    make([]float64, n),
 		d:    make([]float64, n),
-	}
-	// Condition estimate from the pivots: cond₂(A) ≈ (max lᵢᵢ / min lᵢᵢ)².
-	// Crude but free, and exactly the data that degrades as A approaches
-	// indefiniteness.
-	mn, mx := math.Inf(1), 0.0
-	for i := 0; i < n; i++ {
-		d := ch.l.At(i, i)
-		if d < mn {
-			mn = d
-		}
-		if d > mx {
-			mx = d
-		}
-	}
-	if mn > 0 {
-		v.cond = (mx / mn) * (mx / mn)
-	} else {
-		v.cond = math.MaxFloat64
-	}
-	return v, nil
+	}, nil
 }
 
 // Cond returns the pivot-based condition estimate.

@@ -34,6 +34,13 @@ func TestCholeskyRejectsInfPivot(t *testing.T) {
 		if _, err := NewCholesky(a); !errors.Is(err, ErrNotSPD) {
 			t.Errorf("NewCholesky with pivot %v: err = %v, want ErrNotSPD", inf, err)
 		}
+		m := csrOf(a)
+		if _, err := AnalyzeCholesky(m).Factor(m); !errors.Is(err, ErrNotSPD) {
+			t.Errorf("sparse Factor with pivot %v: err = %v, want ErrNotSPD", inf, err)
+		}
+		if _, err := verifiedOf(m); !errors.Is(err, ErrNotSPD) {
+			t.Errorf("NewVerifiedCholesky with pivot %v: err = %v, want ErrNotSPD", inf, err)
+		}
 	}
 }
 
@@ -79,7 +86,7 @@ func TestSolveTridiagRejectsInfPivot(t *testing.T) {
 // byte-identical to the plain factorization on well-conditioned systems.
 func TestVerifiedCholeskyNoRefinementOnHealthySystem(t *testing.T) {
 	a := spd3()
-	v, err := NewVerifiedCholesky(a, 0)
+	v, err := verifiedOf(csrOf(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +116,7 @@ func TestVerifiedCholeskyNoRefinementOnHealthySystem(t *testing.T) {
 }
 
 func TestVerifiedCholeskyRejectsNonFiniteRHS(t *testing.T) {
-	v, err := NewVerifiedCholesky(spd3(), 0)
+	v, err := verifiedOf(csrOf(spd3()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,6 +101,12 @@ type Network struct {
 	cond []linalg.Coord // off-diagonal −g and diagonal +g entries
 	capn []float64      // per-node heat capacity, J/K
 
+	// g0 is cond assembled once as CSR. Every system the network solves —
+	// G(fan) and C/dt + G(fan) — differs from it only on the diagonal, so
+	// all of them share g0's pattern and one ordering/symbolic analysis.
+	g0      *linalg.CSR
+	pattern *linalg.CholeskyPattern
+
 	// Cached factors are the verified kind: every solve through them is
 	// residual-checked, refined once when degraded, and refused with a
 	// typed linalg.NumError rather than returning garbage temperatures.
@@ -139,6 +145,8 @@ func NewNetwork(chip *floorplan.Chip, fm *fan.Model, p Params) *Network {
 		steadyNext:     make([]float64, nc+cores+1),
 	}
 	nw.assemble()
+	nw.g0 = linalg.NewCSR(nw.n, nw.cond)
+	nw.pattern = linalg.AnalyzeCholesky(nw.g0)
 	return nw
 }
 
@@ -235,12 +243,26 @@ func (nw *Network) AssembleG(fanLevel int) *linalg.Dense {
 	return g
 }
 
+// system returns G(fanLevel) + C/dt in CSR form, built from g0 without a
+// dense intermediate; dt = 0 leaves out the capacitance term (the steady
+// system).
+func (nw *Network) system(fanLevel int, dt float64) *linalg.CSR {
+	m := nw.g0.Clone()
+	m.AddDiag(nw.sinkNode, nw.Fan.Conductance(fanLevel))
+	if dt > 0 {
+		for i := 0; i < nw.n; i++ {
+			m.AddDiag(i, nw.capn[i]/dt)
+		}
+	}
+	return m
+}
+
 // steadyFactor returns the cached verified Cholesky factor of G(fanLevel).
 func (nw *Network) steadyFactor(fanLevel int) (*linalg.VerifiedCholesky, error) {
 	if f, ok := nw.steadyCache[fanLevel]; ok {
 		return f, nil
 	}
-	f, err := linalg.NewVerifiedCholesky(nw.AssembleG(fanLevel), 0)
+	f, err := linalg.NewVerifiedCholesky(nw.system(fanLevel, 0), nw.pattern, 0)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: factoring G(fan=%d): %w", fanLevel, err)
 	}
@@ -369,12 +391,8 @@ func (nw *Network) NewTransient(fanLevel int, dt float64) (*Transient, error) {
 	key := transientKey{fanLevel: fanLevel, dtNanos: int64(dt * 1e9)}
 	f, ok := nw.transientCache[key]
 	if !ok {
-		m := nw.AssembleG(fanLevel)
-		for i := 0; i < nw.n; i++ {
-			m.Add(i, i, nw.capn[i]/dt)
-		}
 		var err error
-		f, err = linalg.NewVerifiedCholesky(m, 0)
+		f, err = linalg.NewVerifiedCholesky(nw.system(fanLevel, dt), nw.pattern, 0)
 		if err != nil {
 			return nil, fmt.Errorf("thermal: factoring transient matrix: %w", err)
 		}
