@@ -279,8 +279,9 @@ func BenchmarkAblation(b *testing.B) {
 }
 
 // BenchmarkBandEstimatorEval measures the §III-E per-core evaluation — one
-// band solve against frozen boundary sensors, the exact operation the
-// priced systolic hardware performs per core per control period.
+// solve of the core's sub-system against frozen boundary sensors, the
+// operation the priced systolic hardware performs per core per control
+// period.
 func BenchmarkBandEstimatorEval(b *testing.B) {
 	env := exp.NewEnv()
 	be, err := core.NewBandEstimator(env.NW)

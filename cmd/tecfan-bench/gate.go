@@ -29,7 +29,7 @@ var gatePackages = []string{".", "./internal/sim", "./internal/linalg", "./inter
 // end-to-end cost, not per-period hot-path cost, and would make the gate
 // minutes-slow and noisy.
 const gateBenchRe = "^Benchmark(Step|SteadySolve|TransientStep|Systolic|TECfanControl|BandEstimatorEval|" +
-	"CholeskyFactor305|CholeskySolve305|LUFactor305|CGGridScale|BandMulVec18|BandLUSolve18|" +
+	"CholeskyFactor305|CholeskySolve305|CGGridScale|BandMulVec18|" +
 	"AnalyzeCholesky305|SparseCholeskyFactor305|SparseCholeskySolve305|VerifiedCholeskySolve305|" +
 	"NetworkAssembly16|SteadyWithTEC16|GridSteady16)$"
 

@@ -42,14 +42,11 @@ var defaultHotpath = map[string]bool{
 	"tecfan/internal/linalg.(*VerifiedCholesky).Solve":    true,
 	"tecfan/internal/linalg.(*VerifiedCholesky).residual": true,
 	"tecfan/internal/linalg.(*CSR).MulVec":                true,
-	"tecfan/internal/linalg.(*BandLU).Solve":              true,
-	"tecfan/internal/linalg.(*VerifiedBandLU).Solve":      true,
-	"tecfan/internal/linalg.(*VerifiedBandLU).residual":   true,
 	"tecfan/internal/linalg.(*Banded).MulVec":             true,
 	"tecfan/internal/linalg.relResidual":                  true,
 	"tecfan/internal/linalg.Fill":                         true,
 
-	// core: the per-candidate model evaluation and the per-core band solve.
+	// core: the per-candidate model evaluation and the per-core solve.
 	"tecfan/internal/core.(*Estimator).EstimateInto": true,
 	"tecfan/internal/core.(*BandEstimator).EvalCore": true,
 
@@ -114,10 +111,10 @@ var leafFuncs = map[string]bool{
 	"tecfan/internal/fan.(*Model).Conductance": true,
 	"tecfan/internal/floorplan.(*Chip).CoreOf": true,
 
-	// thermal factor cache: G depends only on the fan level (TEC terms
-	// fold into the RHS), so the banded/dense Cholesky factor is cached
-	// per actuator configuration — a map hit on the steady path, an
-	// allocation only when the fan level first appears (cold, amortized).
+	// thermal steady factors: G depends only on the fan level (TEC terms
+	// fold into the RHS), so the sparse Cholesky factor is kept per fan
+	// level — a slice read on the steady path, an allocation only when the
+	// fan level first appears (cold, amortized).
 	"tecfan/internal/thermal.(*Network).steadyFactor": true,
 
 	// thermal accessors reached from hot callers.

@@ -1,7 +1,7 @@
 // Package benchgate implements the performance regression gate behind
 // `tecfan-bench -gobench -gate` and scripts/bench_gate.sh: it parses
 // `go test -bench` output, reduces repeated runs to per-metric medians,
-// and compares the result against a committed baseline (BENCH_12.json).
+// and compares the result against a committed baseline (BENCH_13.json).
 //
 // The comparison policy encodes what each metric means for this repo:
 //
@@ -46,7 +46,7 @@ type Metrics struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// Baseline is the persisted form of one gate measurement (BENCH_12.json).
+// Baseline is the persisted form of one gate measurement (BENCH_13.json).
 type Baseline struct {
 	Schema     int                `json:"schema"`
 	CPU        string             `json:"cpu"`

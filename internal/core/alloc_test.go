@@ -66,3 +66,33 @@ func TestSteadyPeakZeroAllocs(t *testing.T) {
 		t.Fatalf("SteadyPeak allocates %.1f per call", allocs)
 	}
 }
+
+// TestBandEstimatorEvalCoreZeroAllocs covers the §III-E per-core solve.
+func TestBandEstimatorEvalCoreZeroAllocs(t *testing.T) {
+	e := testenv.NewQuad()
+	be, err := NewBandEstimator(e.NW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]float64, len(e.Chip.Components))
+	for i := range p {
+		p[i] = 1
+	}
+	temps := make([]float64, e.NW.NumNodes())
+	for i := range temps {
+		temps[i] = 60
+	}
+	out := make([]float64, len(e.Chip.CoreComponents(0)))
+	var evalErr error
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := be.EvalCore(0, p, temps, out); err != nil {
+			evalErr = err
+		}
+	})
+	if evalErr != nil {
+		t.Fatal(evalErr)
+	}
+	if allocs != 0 {
+		t.Fatalf("EvalCore allocates %.1f per call", allocs)
+	}
+}

@@ -9,19 +9,19 @@ import (
 
 // BandEstimator is the hardware-feasible temperature predictor of §III-E:
 // instead of solving the full-chip system, it evaluates one core at a time
-// against its banded conductance sub-matrix, treating everything outside
-// the core (neighbour components, the spreader) as a frozen boundary read
-// from the temperature sensors — "since the inter-core thermal impact is
-// limited in tile-structured many-core architectures, we only evaluate the
-// temperature of one core each time". Each evaluation is one band solve,
-// O(M·w²), the workload the priced systolic/band hardware performs.
+// against its conductance sub-matrix, treating everything outside the core
+// (neighbour components, the spreader) as a frozen boundary read from the
+// temperature sensors — "since the inter-core thermal impact is limited in
+// tile-structured many-core architectures, we only evaluate the temperature
+// of one core each time". Each evaluation is one solve of the M-node
+// per-core system; CoreBandModel prices the band hardware that performs it.
 type BandEstimator struct {
 	nw *thermal.Network
-	// Per-core factorizations of the banded sub-system — the verified kind:
-	// the band LU does not pivot, so every EvalCore solve is residual-
-	// checked and a degraded solve is refined or refused instead of feeding
-	// the optimizer a silently wrong temperature prediction.
-	factors []*linalg.VerifiedBandLU
+	// Per-core factors of the SPD sub-system — the verified kind: every
+	// EvalCore solve is residual-checked and a degraded solve is refined or
+	// refused instead of feeding the optimizer a silently wrong temperature
+	// prediction.
+	factors []*linalg.VerifiedCholesky
 	comps   [][]int // global component indices per core
 	// boundary[core][i] lists couplings from local component i to nodes
 	// outside the core (global node index, conductance).
@@ -37,13 +37,13 @@ type coupling struct {
 	g    float64
 }
 
-// NewBandEstimator builds per-core band factorizations from the network.
+// NewBandEstimator factors every core's sub-system from the network.
 func NewBandEstimator(nw *thermal.Network) (*BandEstimator, error) {
 	chip := nw.Chip
 	full := nw.AssembleG(0) // boundary handling makes the fan level irrelevant here
 	e := &BandEstimator{
 		nw:       nw,
-		factors:  make([]*linalg.VerifiedBandLU, chip.NumCores()),
+		factors:  make([]*linalg.VerifiedCholesky, chip.NumCores()),
 		comps:    make([][]int, chip.NumCores()),
 		boundary: make([][][]coupling, chip.NumCores()),
 	}
@@ -54,7 +54,7 @@ func NewBandEstimator(nw *thermal.Network) (*BandEstimator, error) {
 		for li, gi := range comps {
 			local[gi] = li
 		}
-		sub := linalg.NewDense(m, m)
+		var sub []linalg.Coord
 		bounds := make([][]coupling, m)
 		for li, gi := range comps {
 			for gj := 0; gj < nw.NumNodes(); gj++ {
@@ -63,21 +63,17 @@ func NewBandEstimator(nw *thermal.Network) (*BandEstimator, error) {
 					continue
 				}
 				if lj, in := local[gj]; in {
-					sub.Set(li, lj, v)
+					sub = append(sub, linalg.Coord{Row: li, Col: lj, Val: v})
 				} else {
 					// Off-core coupling: conductance g = −G[i][j].
 					bounds[li] = append(bounds[li], coupling{node: gj, g: -v})
 				}
 			}
 		}
-		kl, ku := linalg.Bandwidth(sub, 0)
-		band, err := linalg.BandedFromDense(sub, kl, ku, 0)
+		a := linalg.NewCSR(m, sub)
+		f, err := linalg.NewVerifiedCholesky(a, linalg.AnalyzeCholesky(a), 0)
 		if err != nil {
-			return nil, fmt.Errorf("core: band extraction for core %d: %w", core, err)
-		}
-		f, err := linalg.NewVerifiedBandLU(band, 0)
-		if err != nil {
-			return nil, fmt.Errorf("core: band factorization for core %d: %w", core, err)
+			return nil, fmt.Errorf("core: factoring the sub-system of core %d: %w", core, err)
 		}
 		e.factors[core] = f
 		e.comps[core] = comps

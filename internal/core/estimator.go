@@ -77,7 +77,7 @@ type Estimator struct {
 	// Period is the lower-level control period Δk of Eq. (5).
 	Period float64
 
-	taus    []float64 // per-node RC constants for Eq. (5)
+	taus    []float64 // per-die-node RC constants for Eq. (5)
 	scratch struct {
 		pow, leak, steady []float64
 	}
@@ -103,23 +103,13 @@ func NewEstimator(nw *thermal.Network, table *power.DVFSTable, leak power.Leakag
 		Placements: placements,
 		Period:     period,
 	}
-	n := nw.NumNodes()
-	e.taus = make([]float64, n)
-	g := nw.AssembleG(0)
-	for i := 0; i < n; i++ {
-		gi := g.At(i, i)
-		if gi <= 0 {
-			gi = 1
-		}
-		tau := nw.Capacity(i) / gi
-		if tau <= 0 {
-			tau = 1e-4
-		}
-		e.taus[i] = tau
+	e.taus = make([]float64, nw.NumDie())
+	for i := range e.taus {
+		e.taus[i] = nw.DieTimeConstant(i)
 	}
 	e.scratch.pow = make([]float64, nw.NumDie())
 	e.scratch.leak = make([]float64, nw.NumDie())
-	e.scratch.steady = make([]float64, n)
+	e.scratch.steady = make([]float64, nw.NumNodes())
 	return e
 }
 

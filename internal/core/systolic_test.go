@@ -167,69 +167,73 @@ func TestScaledEngineErrors(t *testing.T) {
 	}
 }
 
-// The §III-E per-core evaluation path: a single band solve against frozen
-// boundary sensors must reproduce the full-network steady solution when the
-// boundary temperatures come from that solution (self-consistency), and
-// track it closely when the boundary is slightly stale.
+// The §III-E per-core evaluation path: a single per-core solve against
+// frozen boundary sensors must reproduce the full-network steady solution
+// when the boundary temperatures come from that solution (self-consistency),
+// on every core of the quad chip and of SCC16, the chip the experiments run,
+// and track it closely when the boundary is slightly stale.
 func TestBandEstimatorMatchesFullSolve(t *testing.T) {
-	e := testenv.NewQuad()
-	be, err := NewBandEstimator(e.NW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Concentrated power map.
-	p := make([]float64, len(e.Chip.Components))
-	for core := 0; core < 4; core++ {
-		for _, i := range e.Chip.CoreComponents(core) {
-			c := e.Chip.Components[i]
-			p[i] = 5.0 * c.Area() / 9.36
-			if c.Name == "FPMul" {
-				p[i] *= 3
-			}
-		}
-	}
-	full, err := e.NW.Steady(p, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for core := 0; core < 4; core++ {
-		out := make([]float64, 18)
-		if _, err := be.EvalCore(core, p, full, out); err != nil {
-			t.Fatal(err)
-		}
-		// Self-consistency: with exact boundary the band solve returns the
-		// full solution restricted to the core.
-		for li, gi := range e.Chip.CoreComponents(core) {
-			if math.Abs(out[li]-full[gi]) > 1e-6 {
-				t.Fatalf("core %d comp %d: band %.4f vs full %.4f", core, gi, out[li], full[gi])
-			}
-		}
-		comp, peak, err := be.PeakCore(core, p, full)
+	for _, e := range []*testenv.Env{testenv.NewQuad(), testenv.NewSCC16()} {
+		cores := e.Chip.NumCores()
+		be, err := NewBandEstimator(e.NW)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantComp, wantPeak := e.NW.CorePeak(full, core)
-		if comp != wantComp || math.Abs(peak-wantPeak) > 1e-6 {
-			t.Fatalf("core %d peak (%d, %.3f) vs full (%d, %.3f)", core, comp, peak, wantComp, wantPeak)
+		// Concentrated power map.
+		p := make([]float64, len(e.Chip.Components))
+		for core := 0; core < cores; core++ {
+			for _, i := range e.Chip.CoreComponents(core) {
+				c := e.Chip.Components[i]
+				p[i] = 5.0 * c.Area() / 9.36
+				if c.Name == "FPMul" {
+					p[i] *= 3
+				}
+			}
 		}
-	}
-	// Stale boundary: perturb the sensor field by ±0.5 °C; the per-core
-	// prediction error stays the same order (bounded boundary sensitivity).
-	stale := append([]float64(nil), full...)
-	for i := range stale {
-		if i%2 == 0 {
-			stale[i] += 0.5
-		} else {
-			stale[i] -= 0.5
+		full, err := e.NW.Steady(p, 1, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	out := make([]float64, 18)
-	if _, err := be.EvalCore(1, p, stale, out); err != nil {
-		t.Fatal(err)
-	}
-	for li, gi := range e.Chip.CoreComponents(1) {
-		if d := math.Abs(out[li] - full[gi]); d > 1.0 {
-			t.Fatalf("stale boundary blew up component %d by %.2f °C", gi, d)
+		for core := 0; core < cores; core++ {
+			out := make([]float64, len(e.Chip.CoreComponents(core)))
+			if _, err := be.EvalCore(core, p, full, out); err != nil {
+				t.Fatal(err)
+			}
+			// Self-consistency: with exact boundary the per-core solve
+			// returns the full solution restricted to the core.
+			for li, gi := range e.Chip.CoreComponents(core) {
+				if math.Abs(out[li]-full[gi]) > 1e-6 {
+					t.Fatalf("%d cores, core %d comp %d: per-core %.4f vs full %.4f", cores, core, gi, out[li], full[gi])
+				}
+			}
+			comp, peak, err := be.PeakCore(core, p, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantComp, wantPeak := e.NW.CorePeak(full, core)
+			if comp != wantComp || math.Abs(peak-wantPeak) > 1e-6 {
+				t.Fatalf("%d cores, core %d peak (%d, %.3f) vs full (%d, %.3f)", cores, core, comp, peak, wantComp, wantPeak)
+			}
+		}
+		// Stale boundary: perturb the sensor field by ±0.5 °C; the per-core
+		// prediction error stays the same order (bounded boundary
+		// sensitivity).
+		stale := append([]float64(nil), full...)
+		for i := range stale {
+			if i%2 == 0 {
+				stale[i] += 0.5
+			} else {
+				stale[i] -= 0.5
+			}
+		}
+		out := make([]float64, len(e.Chip.CoreComponents(1)))
+		if _, err := be.EvalCore(1, p, stale, out); err != nil {
+			t.Fatal(err)
+		}
+		for li, gi := range e.Chip.CoreComponents(1) {
+			if d := math.Abs(out[li] - full[gi]); d > 1.0 {
+				t.Fatalf("%d cores: stale boundary blew up component %d by %.2f °C", cores, gi, d)
+			}
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // Performance documentation for the numeric kernels at the problem sizes
 // the thermal stack actually uses: 305 nodes (16-core compact network),
-// ~3700 (grid model), 18 (per-core band).
+// ~3700 (grid model), 18 (per-core band model).
 
 func benchSPD(n int) *Dense {
 	rng := rand.New(rand.NewSource(1))
@@ -41,17 +41,6 @@ func BenchmarkCholeskySolve305(b *testing.B) {
 	}
 }
 
-func BenchmarkLUFactor305(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	a := randomDiagDominant(rng, 305)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewLU(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCGGridScale(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	m := randomLaplacian(rng, 3700)
@@ -81,25 +70,5 @@ func BenchmarkBandMulVec18(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		band.MulVec(x, y)
-	}
-}
-
-func BenchmarkBandLUSolve18(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	band := randomDominantBanded(rng, 18, 1, 1)
-	f, err := NewBandLU(band)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rhs := make([]float64, 18)
-	x := make([]float64, 18)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.Solve(rhs, x); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -1,10 +1,10 @@
 // Package linalg provides the small dense, banded, and sparse linear-algebra
 // kernels used by the TECfan thermal and control models: a minimum-degree
-// ordered sparse Cholesky, residual-verified, for every steady and transient
-// solve of the compact thermal network; band LU for the per-core estimator
-// models; a conjugate-gradient solver for the large grid model; and dense
-// Cholesky and LU, kept as the reference the sparse and band paths are
-// tested against.
+// ordered sparse Cholesky, residual-verified, for every direct solve (the
+// compact network's steady and transient systems and the per-core estimator
+// sub-systems); a conjugate-gradient solver for the large grid model; band
+// storage and multiply for the §III-E systolic cost model; and dense
+// Cholesky, kept as the reference the sparse factor is tested against.
 //
 // Everything is written against plain float64 slices so the thermal network
 // (a few hundred nodes) solves in microseconds without external dependencies.
@@ -15,10 +15,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// ErrSingular is returned when a factorization encounters a (numerically)
-// singular matrix.
-var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
 // ErrNotSPD is returned by Cholesky when the matrix is not symmetric
 // positive definite.

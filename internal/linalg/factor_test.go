@@ -20,25 +20,6 @@ func randomSPD(rng *rand.Rand, n int) *Dense {
 	return a
 }
 
-// randomDiagDominant builds a strictly diagonally dominant (hence nonsingular)
-// possibly-asymmetric matrix, like a conductance matrix with Peltier terms.
-func randomDiagDominant(rng *rand.Rand, n int) *Dense {
-	a := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		var sum float64
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			v := rng.NormFloat64()
-			a.Set(i, j, v)
-			sum += math.Abs(v)
-		}
-		a.Set(i, i, sum+1+rng.Float64())
-	}
-	return a
-}
-
 func residual(a *Dense, x, b []float64) float64 {
 	ax := make([]float64, len(b))
 	a.MulVec(x, ax)
@@ -130,93 +111,5 @@ func TestCholeskySolveInPlace(t *testing.T) {
 	ch.Solve(b, b) // aliased
 	if residual(a, b, orig) > 1e-8 {
 		t.Fatal("in-place solve produced wrong result")
-	}
-}
-
-func TestLUSolveKnown(t *testing.T) {
-	// Requires pivoting: zero on the initial diagonal.
-	a := DenseFromRows([][]float64{{0, 1}, {2, 0}})
-	lu, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, 2)
-	lu.Solve([]float64{3, 4}, x) // x = [2, 3]
-	if !almostEqual(x[0], 2, 1e-12) || !almostEqual(x[1], 3, 1e-12) {
-		t.Fatalf("x = %v, want [2 3]", x)
-	}
-	if !almostEqual(lu.Det(), -2, 1e-12) {
-		t.Fatalf("det = %v, want -2", lu.Det())
-	}
-	if lu.N() != 2 {
-		t.Fatalf("N() = %d", lu.N())
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	a := DenseFromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := NewLU(a); err != ErrSingular {
-		t.Fatalf("err = %v, want ErrSingular", err)
-	}
-}
-
-func TestLURejectsNonSquare(t *testing.T) {
-	if _, err := NewLU(NewDense(3, 2)); err != ErrShape {
-		t.Fatalf("err = %v, want ErrShape", err)
-	}
-}
-
-// Property: LU solves random diagonally-dominant systems.
-func TestLUSolveProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(20)
-		a := randomDiagDominant(rng, n)
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64() * 10
-		}
-		lu, err := NewLU(a)
-		if err != nil {
-			return false
-		}
-		x := make([]float64, n)
-		lu.Solve(b, x)
-		return residual(a, x, b) < 1e-7*(1+a.MaxAbs())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: LU and Cholesky agree on SPD systems.
-func TestLUCholeskyAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 10; trial++ {
-		n := 3 + rng.Intn(10)
-		a := randomSPD(rng, n)
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		ch, _ := NewCholesky(a)
-		lu, _ := NewLU(a)
-		x1 := make([]float64, n)
-		x2 := make([]float64, n)
-		ch.Solve(b, x1)
-		lu.Solve(b, x2)
-		for i := 0; i < n; i++ {
-			if !almostEqual(x1[i], x2[i], 1e-7*(1+math.Abs(x1[i]))) {
-				t.Fatalf("n=%d disagree at %d: chol %v vs lu %v", n, i, x1[i], x2[i])
-			}
-		}
-	}
-}
-
-func TestLUDetSign(t *testing.T) {
-	a := DenseFromRows([][]float64{{2, 0}, {0, 3}})
-	lu, _ := NewLU(a)
-	if !almostEqual(lu.Det(), 6, 1e-12) {
-		t.Fatalf("det = %v, want 6", lu.Det())
 	}
 }

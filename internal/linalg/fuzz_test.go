@@ -20,14 +20,14 @@ func fuzzFloat(data []byte, i int) float64 {
 }
 
 // checkSolveOutcome enforces the no-silent-bad-solve property shared by
-// both fuzzers: a nil error means the solution is finite and its
+// the verified-solve fuzzers: a nil error means the solution is finite and its
 // independently recomputed residual is under tolerance; a non-nil error
 // must be one of the typed sentinels.
 func checkSolveOutcome(t *testing.T, err error, a *Dense, b, x []float64) {
 	t.Helper()
 	if err != nil {
 		var ne *NumError
-		if !errors.As(err, &ne) && !errors.Is(err, ErrSingular) && !errors.Is(err, ErrNotSPD) && !errors.Is(err, ErrShape) {
+		if !errors.As(err, &ne) && !errors.Is(err, ErrNotSPD) && !errors.Is(err, ErrShape) {
 			t.Fatalf("untyped solve error: %v", err)
 		}
 		return
@@ -101,55 +101,5 @@ func FuzzCholeskyResidual(f *testing.F) {
 		x := make([]float64, n)
 		_, serr := v.Solve(b, x)
 		checkSolveOutcome(t, serr, a, b, x)
-	})
-}
-
-// FuzzBandLUResidual is the band-matrix counterpart: tridiagonal systems
-// from fuzzed bit patterns through the no-pivoting band LU, which is the
-// solver most exposed to growth — so the residual gate carries the proof.
-func FuzzBandLUResidual(f *testing.F) {
-	seed := make([]byte, 9*8)
-	for i, v := range []float64{5, -1, 0, -1, 5, -1, 0, -1, 5} {
-		binary.LittleEndian.PutUint64(seed[i*8:], math.Float64bits(v))
-	}
-	f.Add(seed)
-	tiny := append([]byte(nil), seed...)
-	binary.LittleEndian.PutUint64(tiny[0:], math.Float64bits(1e-20))
-	f.Add(tiny)
-	inf := append([]byte(nil), seed...)
-	binary.LittleEndian.PutUint64(inf[4*8:], math.Float64bits(math.Inf(1)))
-	f.Add(inf)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		n := 2 + len(data)%4 // 2..5
-		bm := NewBanded(n, 1, 1)
-		k := 0
-		for i := 0; i < n; i++ {
-			lo, hi := i-1, i+1
-			if lo < 0 {
-				lo = 0
-			}
-			if hi >= n {
-				hi = n - 1
-			}
-			for j := lo; j <= hi; j++ {
-				bm.Set(i, j, fuzzFloat(data, k))
-				k++
-			}
-		}
-		v, err := NewVerifiedBandLU(bm, 0)
-		if err != nil {
-			if !errors.Is(err, ErrSingular) && !errors.Is(err, ErrShape) {
-				t.Fatalf("untyped factor error: %v", err)
-			}
-			return
-		}
-		rhs := make([]float64, n)
-		for i := range rhs {
-			rhs[i] = float64(i + 1)
-		}
-		x := make([]float64, n)
-		_, serr := v.Solve(rhs, x)
-		checkSolveOutcome(t, serr, bm.Dense(), rhs, x)
 	})
 }

@@ -9,12 +9,12 @@ import (
 )
 
 // Verified solves: the numerical self-defense layer under the thermal
-// integrator (DESIGN.md §15). A factorization without pivoting (band LU) or
-// with a marginal pivot (Cholesky on a nearly indefinite matrix) can return
-// a solution that is quietly wrong long before it returns an error. The
-// Verified* wrappers keep the original matrix, check the relative residual
-// ‖Ax−b‖∞/‖b‖∞ after every solve, run one step of iterative refinement when
-// it exceeds the tolerance, and hand back a typed NumError — with a
+// integrator (DESIGN.md §15). A factorization with a marginal pivot
+// (Cholesky on a nearly indefinite matrix) or a corrupted factor can return
+// a solution that is quietly wrong long before it returns an error.
+// VerifiedCholesky keeps the original matrix, checks the relative residual
+// ‖Ax−b‖∞/‖b‖∞ after every solve, runs one step of iterative refinement when
+// it exceeds the tolerance, and hands back a typed NumError — with a
 // condition estimate from the pivot data the factorization already has —
 // instead of propagating garbage into temperatures and metrics.
 
@@ -31,12 +31,12 @@ var ErrDiverged = errors.New("linalg: solve diverged (residual above tolerance a
 
 // NumError is the structured diagnosis of a rejected solve.
 type NumError struct {
-	Op          string  // "cholesky" or "bandlu"
+	Op          string  // the refused solver: "cholesky"
 	Residual    float64 // relative residual after the last attempt
 	Tol         float64 // acceptance threshold it failed
 	Cond        float64 // condition estimate from the pivots
 	Refinements int     // refinement steps attempted
-	Err         error   // underlying sentinel (ErrDiverged, ErrSingular, ...)
+	Err         error   // underlying sentinel (ErrDiverged)
 }
 
 func (e *NumError) Error() string {
@@ -63,18 +63,9 @@ func SafeFloat(v float64) string {
 	}
 }
 
-// finiteNonzero is the single pivot acceptability check. The historical
-// `piv == 0 || math.IsNaN(piv)` spelling let ±Inf pivots through: Inf/Inf
-// in the elimination then mints NaNs two columns later, past the check.
-//
-//tecfan:hotpath
-func finiteNonzero(v float64) bool {
-	return v != 0 && floats.Finite(v)
-}
-
-// finitePositive is the SPD-pivot variant: Cholesky needs d > 0 and finite
-// (a +Inf diagonal passes `d <= 0 || IsNaN(d)` but sqrt(+Inf) poisons the
-// factor).
+// finitePositive is the pivot acceptability check: Cholesky needs d > 0 and
+// finite. The historical `d <= 0 || IsNaN(d)` spelling let a +Inf diagonal
+// through, and sqrt(+Inf) then poisons the factor.
 //
 //tecfan:hotpath
 func finitePositive(v float64) bool {
@@ -173,99 +164,6 @@ func (v *VerifiedCholesky) Solve(b, x []float64) (refined bool, err error) {
 // residual fills v.r = b − A·x and returns the relative residual.
 func (v *VerifiedCholesky) residual(b, x []float64) float64 {
 	v.a.MulVec(x, v.ax)
-	for i := range v.r {
-		v.r[i] = b[i] - v.ax[i]
-	}
-	return relResidual(v.r, b)
-}
-
-// VerifiedBandLU is the band-matrix counterpart of VerifiedCholesky. The
-// band factorization does not pivot, so it is the solver most in need of a
-// residual check: diagonal dominance is assumed, never enforced.
-type VerifiedBandLU struct {
-	lu       *BandLU
-	band     *Banded
-	tol      float64
-	cond     float64
-	ax, r, d []float64
-}
-
-// NewVerifiedBandLU factors b and retains a copy of the band for residual
-// checks. tol ≤ 0 selects DefaultResidualTol.
-func NewVerifiedBandLU(b *Banded, tol float64) (*VerifiedBandLU, error) {
-	f, err := NewBandLU(b)
-	if err != nil {
-		return nil, err
-	}
-	if tol <= 0 {
-		tol = DefaultResidualTol
-	}
-	keep := &Banded{N: b.N, KL: b.KL, KU: b.KU, Data: append([]float64(nil), b.Data...)}
-	v := &VerifiedBandLU{
-		lu:   f,
-		band: keep,
-		tol:  tol,
-		ax:   make([]float64, b.N),
-		r:    make([]float64, b.N),
-		d:    make([]float64, b.N),
-	}
-	// Condition estimate from the U diagonal: max|uᵢᵢ|/min|uᵢᵢ|. Without
-	// pivoting the uᵢᵢ are the actual elimination pivots, so their spread
-	// is the direct record of how close the factorization came to dividing
-	// by zero.
-	w := f.kl + f.ku + 1
-	mn, mx := math.Inf(1), 0.0
-	for i := 0; i < f.n; i++ {
-		d := math.Abs(f.lu[i*w+f.kl])
-		if d < mn {
-			mn = d
-		}
-		if d > mx {
-			mx = d
-		}
-	}
-	if mn > 0 {
-		v.cond = mx / mn
-	} else {
-		v.cond = math.MaxFloat64
-	}
-	return v, nil
-}
-
-// Cond returns the pivot-based condition estimate.
-func (v *VerifiedBandLU) Cond() float64 { return v.cond }
-
-// N returns the system size.
-func (v *VerifiedBandLU) N() int { return v.lu.N() }
-
-// Solve computes x with A·x = rhs, verifies the residual, and refines once
-// if needed; see VerifiedCholesky.Solve for the contract.
-func (v *VerifiedBandLU) Solve(rhs, x []float64) (refined bool, err error) {
-	if err := v.lu.Solve(rhs, x); err != nil {
-		//lint:tecfan-ignore allocfree -- singular-pivot refusal path: allocates a diagnosis at most once per rejected solve
-		return false, &NumError{Op: "bandlu", Residual: math.Inf(1), Tol: v.tol, Cond: v.cond, Err: err}
-	}
-	res := v.residual(rhs, x)
-	if res <= v.tol && floats.AllFinite(x) {
-		return false, nil
-	}
-	if err := v.lu.Solve(v.r, v.d); err != nil {
-		//lint:tecfan-ignore allocfree -- refinement-failure refusal path: allocates a diagnosis at most once per rejected solve
-		return false, &NumError{Op: "bandlu", Residual: res, Tol: v.tol, Cond: v.cond, Err: err}
-	}
-	for i := range x {
-		x[i] += v.d[i]
-	}
-	res = v.residual(rhs, x)
-	if res <= v.tol && floats.AllFinite(x) {
-		return true, nil
-	}
-	//lint:tecfan-ignore allocfree -- divergence refusal path: allocates a diagnosis at most once per rejected solve
-	return true, &NumError{Op: "bandlu", Residual: res, Tol: v.tol, Cond: v.cond, Refinements: 1, Err: ErrDiverged}
-}
-
-func (v *VerifiedBandLU) residual(b, x []float64) float64 {
-	v.band.MulVec(x, v.ax)
 	for i := range v.r {
 		v.r[i] = b[i] - v.ax[i]
 	}

@@ -28,7 +28,7 @@ type Grid struct {
 	n            int // total nodes: Nx*Ny die cells + cores + 1 sink
 	spreaderBase int
 	sinkNode     int
-	mat          *linalg.CSR // conduction matrix, fan leg excluded
+	mat          *linalg.CSR // conduction matrix, fan leg excluded; systems add to its diagonal
 	// cover[c] lists (cell, fraction-of-component-area) for component c.
 	cover [][]cellFrac
 }
@@ -201,7 +201,8 @@ func (g *Grid) SteadyTEC(compPower []float64, fanLevel int, ts *tec.State) ([]fl
 	gconv := g.Fan.Conductance(fanLevel)
 	base[g.sinkNode] += gconv * g.Params.AmbientC
 
-	mat := linalg.NewCSR(g.n, append(g.coords(), linalg.Coord{Row: g.sinkNode, Col: g.sinkNode, Val: gconv}))
+	mat := g.mat.Clone()
+	mat.AddDiag(g.sinkNode, gconv)
 	t := make([]float64, g.n)
 	for i := range t {
 		t[i] = g.Params.AmbientC
@@ -281,17 +282,6 @@ func maxSlice(xs []float64) float64 {
 	return m
 }
 
-// coords re-extracts the base matrix triplets (cheap relative to the solve).
-func (g *Grid) coords() []linalg.Coord {
-	out := make([]linalg.Coord, 0, g.mat.NNZ())
-	for r := 0; r < g.mat.N; r++ {
-		for k := g.mat.RowPtr[r]; k < g.mat.RowPtr[r+1]; k++ {
-			out = append(out, linalg.Coord{Row: r, Col: g.mat.ColIdx[k], Val: g.mat.Vals[k]})
-		}
-	}
-	return out
-}
-
 // capacities returns the per-node heat capacities of the grid stack.
 func (g *Grid) capacities() []float64 {
 	p := g.Params
@@ -326,14 +316,14 @@ func (g *Grid) NewTransient(fanLevel int, dt float64) (*GridTransient, error) {
 		return nil, fmt.Errorf("thermal: non-positive dt")
 	}
 	capn := g.capacities()
-	items := g.coords()
-	items = append(items, linalg.Coord{Row: g.sinkNode, Col: g.sinkNode, Val: g.Fan.Conductance(fanLevel)})
+	mat := g.mat.Clone()
+	mat.AddDiag(g.sinkNode, g.Fan.Conductance(fanLevel))
 	for i, c := range capn {
-		items = append(items, linalg.Coord{Row: i, Col: i, Val: c / dt})
+		mat.AddDiag(i, c/dt)
 	}
 	return &GridTransient{
 		g:    g,
-		mat:  linalg.NewCSR(g.n, items),
+		mat:  mat,
 		capn: capn,
 		dt:   dt,
 		rhs:  make([]float64, g.n),

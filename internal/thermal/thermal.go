@@ -87,7 +87,10 @@ func DefaultParams() Params {
 	}
 }
 
-// Network is the assembled RC network for one chip and fan model.
+// Network is the assembled RC network for one chip and fan model. It is
+// not safe for concurrent use: Steady and SteadyInto share one scratch and
+// fill the steady factors on first use. Each Transient owns its factor and
+// scratch and only reads the Network.
 type Network struct {
 	Chip   *floorplan.Chip
 	Fan    *fan.Model
@@ -107,23 +110,21 @@ type Network struct {
 	g0      *linalg.CSR
 	pattern *linalg.CholeskyPattern
 
-	// Cached factors are the verified kind: every solve through them is
+	// tau[i] is die node i's RC time constant, capacity over total
+	// conductance, for the controller's Eq. (5).
+	tau []float64
+
+	// steady[level] is the verified Cholesky factor of G(level), built on
+	// first use: SteadyInto runs once per evaluated candidate, so its
+	// factor must not be rebuilt per call. Every solve through it is
 	// residual-checked, refined once when degraded, and refused with a
 	// typed linalg.NumError rather than returning garbage temperatures.
-	steadyCache    map[int]*linalg.VerifiedCholesky
-	transientCache map[transientKey]*linalg.VerifiedCholesky
+	steady []*linalg.VerifiedCholesky
 
 	// Fixed-point scratch for SteadyInto, preallocated so per-candidate
-	// steady solves stay allocation-free. The Network is already not safe
-	// for concurrent use (shared factor caches); the scratch keeps that
-	// contract rather than tightening it.
+	// steady solves stay allocation-free.
 	steadyRHS  []float64
 	steadyNext []float64
-}
-
-type transientKey struct {
-	fanLevel int
-	dtNanos  int64
 }
 
 // NewNetwork assembles the network for a chip. The fan model supplies the
@@ -132,21 +133,21 @@ func NewNetwork(chip *floorplan.Chip, fm *fan.Model, p Params) *Network {
 	nc := len(chip.Components)
 	cores := chip.NumCores()
 	nw := &Network{
-		Chip:           chip,
-		Fan:            fm,
-		Params:         p,
-		n:              nc + cores + 1,
-		spreaderBase:   nc,
-		sinkNode:       nc + cores,
-		capn:           make([]float64, nc+cores+1),
-		steadyCache:    map[int]*linalg.VerifiedCholesky{},
-		transientCache: map[transientKey]*linalg.VerifiedCholesky{},
-		steadyRHS:      make([]float64, nc+cores+1),
-		steadyNext:     make([]float64, nc+cores+1),
+		Chip:         chip,
+		Fan:          fm,
+		Params:       p,
+		n:            nc + cores + 1,
+		spreaderBase: nc,
+		sinkNode:     nc + cores,
+		capn:         make([]float64, nc+cores+1),
+		steady:       make([]*linalg.VerifiedCholesky, fm.NumLevels()),
+		steadyRHS:    make([]float64, nc+cores+1),
+		steadyNext:   make([]float64, nc+cores+1),
 	}
 	nw.assemble()
 	nw.g0 = linalg.NewCSR(nw.n, nw.cond)
 	nw.pattern = linalg.AnalyzeCholesky(nw.g0)
+	nw.tau = nw.dieTimeConstants()
 	return nw
 }
 
@@ -257,16 +258,17 @@ func (nw *Network) system(fanLevel int, dt float64) *linalg.CSR {
 	return m
 }
 
-// steadyFactor returns the cached verified Cholesky factor of G(fanLevel).
+// steadyFactor returns the verified Cholesky factor of G(fanLevel),
+// factoring it on first use.
 func (nw *Network) steadyFactor(fanLevel int) (*linalg.VerifiedCholesky, error) {
-	if f, ok := nw.steadyCache[fanLevel]; ok {
+	if f := nw.steady[fanLevel]; f != nil {
 		return f, nil
 	}
 	f, err := linalg.NewVerifiedCholesky(nw.system(fanLevel, 0), nw.pattern, 0)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: factoring G(fan=%d): %w", fanLevel, err)
 	}
-	nw.steadyCache[fanLevel] = f
+	nw.steady[fanLevel] = f
 	return f, nil
 }
 
@@ -374,29 +376,23 @@ type Transient struct {
 	factor   *linalg.VerifiedCholesky
 	rhs      []float64
 	next     []float64
-	// refines counts iterative-refinement steps the verified solve needed,
-	// per Transient instance (the factor cache is shared across instances,
-	// so the counter cannot live there without leaking across runs).
+	// refines counts iterative-refinement steps this integrator's solves
+	// needed since the last TakeRefinements.
 	refines int
 }
 
 // NewTransient factors (C/dt + G) for the given fan level and time step.
-// Refactorization happens only when the fan level changes, matching the
-// paper's observation that fan actuation is orders of magnitude slower than
+// Each integrator owns its factor. Factoring costs tens of µs and happens
+// only at run start and when the fan level changes, matching the paper's
+// observation that fan actuation is orders of magnitude slower than
 // TEC/DVFS actuation.
 func (nw *Network) NewTransient(fanLevel int, dt float64) (*Transient, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("thermal: non-positive dt %v", dt)
 	}
-	key := transientKey{fanLevel: fanLevel, dtNanos: int64(dt * 1e9)}
-	f, ok := nw.transientCache[key]
-	if !ok {
-		var err error
-		f, err = linalg.NewVerifiedCholesky(nw.system(fanLevel, dt), nw.pattern, 0)
-		if err != nil {
-			return nil, fmt.Errorf("thermal: factoring transient matrix: %w", err)
-		}
-		nw.transientCache[key] = f
+	f, err := linalg.NewVerifiedCholesky(nw.system(fanLevel, dt), nw.pattern, 0)
+	if err != nil {
+		return nil, fmt.Errorf("thermal: factoring transient matrix: %w", err)
 	}
 	return &Transient{
 		nw:       nw,
@@ -509,15 +505,23 @@ func RCInterp(ts, tPrev, tauSeconds, dtSeconds float64) float64 {
 
 // DieTimeConstant returns a representative die-node RC time constant for the
 // controller's Eq. (5): node capacity divided by its total conductance.
-func (nw *Network) DieTimeConstant(comp int) float64 {
-	var g float64
+func (nw *Network) DieTimeConstant(comp int) float64 { return nw.tau[comp] }
+
+// dieTimeConstants computes DieTimeConstant for every die node in one pass
+// over cond, summing each diagonal in cond order exactly as AssembleG does.
+func (nw *Network) dieTimeConstants() []float64 {
+	g := make([]float64, nw.NumDie())
 	for _, c := range nw.cond {
-		if c.Row == comp && c.Col == comp {
-			g += c.Val
+		if c.Row == c.Col && c.Row < len(g) {
+			g[c.Row] += c.Val
 		}
 	}
-	if g <= 0 {
-		return 1e-3
+	for i, gi := range g {
+		if gi <= 0 {
+			g[i] = 1e-3
+		} else {
+			g[i] = nw.capn[i] / gi
+		}
 	}
-	return nw.capn[comp] / g
+	return g
 }

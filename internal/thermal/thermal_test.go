@@ -279,19 +279,53 @@ func TestTransientFactorCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := nw.NewTransient(2, 0.001)
+	c, err := nw.NewTransient(3, 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.factor != b.factor {
-		t.Fatal("transient factor not cached")
-	}
-	c, _ := nw.NewTransient(3, 0.001)
 	if c.factor == a.factor {
 		t.Fatal("distinct fan levels must not share a factor")
 	}
 	if a.DT() != 0.001 || a.FanLevel() != 2 {
 		t.Fatal("accessors wrong")
+	}
+}
+
+// Each integrator factors its own C/dt + G, even for step sizes that
+// truncate to the same whole nanosecond (1.2 ns and 1.7 ns). A factor built
+// for another dt is consistent with the matrix it keeps, so the residual
+// check cannot catch it (node 0 would step from 60 °C to 42.35 °C). A
+// second integrator on a network must step bit-identically to one built on
+// a fresh network.
+func TestTransientDistinctDTsDoNotShareFactor(t *testing.T) {
+	chip := floorplan.NewQuad()
+	nw := newTestNetwork(t, chip)
+	if _, err := nw.NewTransient(1, 1.2e-9); err != nil {
+		t.Fatal(err)
+	}
+	reused, err := nw.NewTransient(1, 1.7e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := newTestNetwork(t, chip).NewTransient(1, 1.7e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := uniformPower(nw, 20)
+	got := make([]float64, nw.NumNodes())
+	want := make([]float64, nw.NumNodes())
+	linFill(got, 60)
+	linFill(want, 60)
+	if err := reused.Step(got, p, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Step(want, p, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("node %d: %.6g °C after one step, fresh network gives %.6g °C", i, got[i], want[i])
+		}
 	}
 }
 
@@ -352,6 +386,20 @@ func TestDieTimeConstantRange(t *testing.T) {
 		// 2 ms control period — the basis for the paper's Eq. (5) usage.
 		if tau <= 0 || tau > 0.05 {
 			t.Fatalf("component %d time constant %.4g s implausible", i, tau)
+		}
+	}
+}
+
+// The die time constants are capacity over the assembled diagonal of G,
+// bit for bit: the controller's Eq. (5) predictions depend on them.
+func TestDieTimeConstantMatchesAssembledDiagonal(t *testing.T) {
+	for _, chip := range []*floorplan.Chip{floorplan.NewQuad(), floorplan.NewSCC16()} {
+		nw := newTestNetwork(t, chip)
+		g := nw.AssembleG(0)
+		for i := 0; i < nw.NumDie(); i++ {
+			if got, want := nw.DieTimeConstant(i), nw.Capacity(i)/g.At(i, i); got != want {
+				t.Fatalf("%d-core chip, component %d: tau %v, want %v", chip.NumCores(), i, got, want)
+			}
 		}
 	}
 }
